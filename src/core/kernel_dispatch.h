@@ -32,7 +32,11 @@ struct KernelTarget {
     int width;        ///< lanes of the multi-cell bodies (cellwise is 4-wide)
     void (*phiCellwise)(SimBlock&, const StepContext&, bool useTz, bool useStag,
                         bool shortcuts);
-    void (*phiMultiCell)(SimBlock&, const StepContext&);
+    /// Multi-cell phi body (T(z) on), bitwise equal to phiCellwise with the
+    /// same flags. Accepts any nx % 4 == 0: a target wider than 4 sweeps
+    /// blocks narrower than its width with its own 4-wide instance.
+    void (*phiMultiCell)(SimBlock&, const StepContext&, bool useStag,
+                         bool shortcuts);
     void (*muMultiCell)(SimBlock&, const StepContext&, bool useTz, bool useStag,
                         bool shortcuts, MuSweepPart part);
 };

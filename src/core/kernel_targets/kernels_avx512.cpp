@@ -2,7 +2,8 @@
 /// The "avx512" dispatch target: the multi-cell phi/mu bodies instantiated
 /// 8-wide with Vec8dAvx512; the cellwise phi body stays 4-wide on Vec4dAvx2
 /// (its lane rotations encode the four phases of one cell — width is part of
-/// its meaning, not a tuning knob). Compiled with per-file
+/// its meaning, not a tuning knob), and so does the multi-cell phi body for
+/// blocks with 4 <= nx < 8. Compiled with per-file
 /// `-mavx2 -mfma -mavx512f` (src/CMakeLists.txt); deliberately WITHOUT
 /// -mavx512vl, so 256-bit operations shared with the avx2 target keep their
 /// VEX encodings and cannot leak EVEX instructions through vague-linkage
@@ -36,11 +37,24 @@ using V = simd::Vec8dAvx512;
 #include "core/mu_kernel_multicell_body.h"
 } // namespace multicell
 
+namespace multicell4 {
+using V = simd::Vec4dAvx2;
+#include "core/phi_kernel_multicell_body.h"
+} // namespace multicell4
+
+void phiMultiCell(SimBlock& b, const StepContext& ctx, bool useStag,
+                  bool shortcuts) {
+    if (b.size.x >= simd::Vec8dAvx512::width)
+        multicell::phiSweepMultiCellBody(b, ctx, useStag, shortcuts);
+    else
+        multicell4::phiSweepMultiCellBody(b, ctx, useStag, shortcuts);
+}
+
 const KernelTarget kTarget = {
     "avx512",
     simd::Vec8dAvx512::width,
     &cellwise::phiSweepCellwiseBody,
-    &multicell::phiSweepMultiCellBody,
+    &phiMultiCell,
     &multicell::muSweepMultiCellBody,
 };
 

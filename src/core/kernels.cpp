@@ -7,21 +7,34 @@ namespace tpf::core {
 namespace {
 
 /// Vectorized sweeps go through the runtime-selected instruction-set target
-/// (core/kernel_dispatch.h). The cellwise phi body is always 4-wide; the
-/// multi-cell bodies need nx >= target width, below which the compile-time
-/// Vec4d entry points take over (bitwise identical — the targets only differ
-/// in instruction encoding, never in arithmetic).
+/// (core/kernel_dispatch.h). The cellwise phi body packs the four phases of
+/// one cell into a 4-wide vector on every target. The multi-cell phi body
+/// puts V::width x-cells in a vector and covers any nx % 4 == 0 by itself
+/// (an overlapped tail group for nx % width == 4, a 4-wide instance below
+/// the width); the multi-cell mu body needs nx >= target width, below which
+/// the compile-time Vec4d entry point takes over. All of them are bitwise
+/// identical — the targets only differ in instruction encoding, never in
+/// arithmetic.
 void dispatchPhiCellwise(SimBlock& b, const StepContext& ctx, bool useTz,
                          bool useStag, bool shortcuts) {
     activeKernelTarget()->phiCellwise(b, ctx, useTz, useStag, shortcuts);
 }
 
-void dispatchPhiMultiCell(SimBlock& b, const StepContext& ctx) {
-    const KernelTarget* t = activeKernelTarget();
-    if (b.size.x >= t->width)
-        t->phiMultiCell(b, ctx);
+void dispatchPhiMultiCell(SimBlock& b, const StepContext& ctx, bool useStag,
+                          bool shortcuts) {
+    activeKernelTarget()->phiMultiCell(b, ctx, useStag, shortcuts);
+}
+
+/// Production phi sweep: the multi-cell body where its x-grouping and SoA
+/// loads apply, else the cellwise body it is bitwise equal to.
+void dispatchPhiProduction(SimBlock& b, const StepContext& ctx) {
+    const bool multiCell = b.size.x >= 4 && b.size.x % 4 == 0 &&
+                           b.phiSrc.layout() == Layout::fzyx &&
+                           b.muSrc.layout() == Layout::fzyx;
+    if (multiCell)
+        dispatchPhiMultiCell(b, ctx, /*useStag=*/true, /*shortcuts=*/true);
     else
-        phiSweepSimdFourCell(b, ctx);
+        dispatchPhiCellwise(b, ctx, true, true, true);
 }
 
 void dispatchMuMultiCell(SimBlock& b, const StepContext& ctx, bool useTz,
@@ -54,10 +67,10 @@ void runPhiKernel(PhiKernelKind k, SimBlock& b, const StepContext& ctx) {
         case PhiKernelKind::SimdTzStag:
             dispatchPhiCellwise(b, ctx, true, true, false);
             return;
-        case PhiKernelKind::SimdTzStagCut:
-            dispatchPhiCellwise(b, ctx, true, true, true);
+        case PhiKernelKind::SimdTzStagCut: dispatchPhiProduction(b, ctx); return;
+        case PhiKernelKind::SimdFourCell:
+            dispatchPhiMultiCell(b, ctx, /*useStag=*/false, /*shortcuts=*/true);
             return;
-        case PhiKernelKind::SimdFourCell: dispatchPhiMultiCell(b, ctx); return;
     }
     TPF_ASSERT(false, "unknown phi kernel kind");
 }

@@ -13,7 +13,11 @@
 ///  SimdTz      (+ z-slice cache)        | "with T(z) optimization"
 ///  SimdTzStag  (+ staggered buffers)    | "with staggered buffer"
 ///  SimdTzStagCut (+ bulk shortcuts)     | "with shortcuts"  [production]
-///  SimdFourCell (four cells at once)    | Figure 5 "four cells"
+///    runs the multi-cell body (W x-cells per vector, W = 8 on avx512)
+///    with the same flags — bitwise equal to the cellwise one; the cellwise
+///    body covers nx % 4 != 0, nx < 4 and non-fzyx layouts
+///  SimdFourCell (W cells at once,       | Figure 5 "four cells"
+///    Tz on, stag off, shortcuts on)     |
 ///  ScalarTzStag / ScalarTzStagCut       | ablation: all algorithmic
 ///                                       | optimizations without SIMD
 ///
@@ -122,9 +126,6 @@ bool needsTzCache(MuKernelKind k);
 void phiSweepGeneral(SimBlock& b, const StepContext& ctx);
 void phiSweepBasic(SimBlock& b, const StepContext& ctx);
 void phiSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
-void phiSweepSimdCellwise(SimBlock& b, const StepContext& ctx, bool useTz,
-                          bool useStag, bool shortcuts);
-void phiSweepSimdFourCell(SimBlock& b, const StepContext& ctx);
 
 void muSweepGeneral(SimBlock& b, const StepContext& ctx);
 void muSweepBasic(SimBlock& b, const StepContext& ctx, MuSweepPart part);

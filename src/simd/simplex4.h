@@ -1,21 +1,33 @@
 #pragma once
 /// \file simplex4.h
-/// Vectorized Gibbs-simplex projection for the four-cell kernels: four phase
+/// Vectorized Gibbs-simplex projection for the multi-cell kernels: four phase
 /// values held in four registers (one lane per cell). The vertical sorting
-/// network and the threshold selection mirror tpf::projectToSimplex4
-/// operation-for-operation, so the result is bitwise identical per cell.
+/// network, the threshold selection and the final clamp mirror
+/// tpf::projectToSimplex4 operation-for-operation, so the result is bitwise
+/// identical per cell — signed zeros and ties included. That is why every
+/// min/max is a compare plus blend in the scalar operand order: the hardware
+/// min/max instructions return their second operand on ties, so
+/// max_pd(-0.0, 0.0) gives +0.0 where std::max(-0.0, 0.0) keeps -0.0.
 
 #include "simd/simd.h"
 
 namespace tpf::simd {
 
 namespace detail {
+/// hi = a > b ? a : b, lo = a > b ? b : a (tpf::cmpExchDesc).
 template <typename V>
 inline void cmpExchDesc(V& hi, V& lo) {
-    const V mx = V::max(hi, lo);
-    const V mn = V::min(hi, lo);
-    hi = mx;
-    lo = mn;
+    const auto gt = hi > lo;
+    const V a = hi, b = lo;
+    hi = V::blend(gt, a, b);
+    lo = V::blend(gt, b, a);
+}
+
+/// std::max(d, 0.0), i.e. d < 0.0 ? 0.0 : d.
+template <typename V>
+inline V maxZero(V d) {
+    const V zero = V::zero();
+    return V::blend(d < zero, zero, d);
 }
 } // namespace detail
 
@@ -47,10 +59,10 @@ inline void projectToSimplex4Lanes(V& x0, V& x1, V& x2, V& x3) {
     tau = V::blend(u2 - t2 > zero, t2, tau);
     tau = V::blend(u3 - t3 > zero, t3, tau);
 
-    x0 = V::max(x0 - tau, zero);
-    x1 = V::max(x1 - tau, zero);
-    x2 = V::max(x2 - tau, zero);
-    x3 = V::max(x3 - tau, zero);
+    x0 = detail::maxZero(x0 - tau);
+    x1 = detail::maxZero(x1 - tau);
+    x2 = detail::maxZero(x2 - tau);
+    x3 = detail::maxZero(x3 - tau);
 }
 
 } // namespace tpf::simd

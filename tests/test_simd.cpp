@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "simd/simd.h"
+#include "simd/simplex4.h"
 #include "util/alignment.h"
 #include "util/fastmath.h"
 #include "util/random.h"
+#include "util/simplex.h"
 
 namespace tpf::simd {
 namespace {
@@ -296,6 +299,50 @@ TYPED_TEST(SimdWidthTest, NegatePreservesSignedZeroAndSpecials) {
     for (int i = 0; i < W; ++i) inf[i] = HUGE_VAL;
     auto ninf = allLanes(-TypeParam::loadu(inf));
     for (int i = 0; i < W; ++i) EXPECT_EQ(ninf[i], -HUGE_VAL);
+}
+
+TYPED_TEST(SimdWidthTest, SimplexProjectionMatchesScalarOnSignedZerosAndTies) {
+    constexpr int W = TypeParam::width;
+    // Signed zeros and exact ties: the inputs on which a hardware min/max
+    // (second operand on ties) and the scalar a > b ? a : b / std::max part
+    // ways. The multi-cell phi kernel relies on bitwise agreement here.
+    const double cases[][4] = {
+        {-0.0, 1.0, 0.0, 0.0},   {0.0, -0.0, 1.0, 0.0},
+        {1.0, -0.0, -0.0, -0.0}, {-0.0, -0.0, -0.0, 1.0},
+        {0.5, 0.5, -0.0, 0.0},   {0.25, 0.25, 0.25, 0.25},
+        {1.0, 1.0, 0.0, -0.0},   {0.5, -0.0, 0.5, 0.0},
+        {-0.0, 0.0, -0.0, 0.0},  {0.3, 0.3, 0.3, -0.0},
+        {1.25, -0.0, -0.25, 0.0}, {0.0, 0.0, 0.0, 0.0},
+    };
+    constexpr int kCases = sizeof(cases) / sizeof(cases[0]);
+    // Also random draws from a tie-heavy value set.
+    const double pool[] = {-0.0, 0.0, 0.25, 0.5, 1.0, -0.25, 1.5};
+    Random rng(37);
+    for (int t = 0; t < kCases + 64; ++t) {
+        double in[4][W], want[4][W];
+        for (int l = 0; l < W; ++l) {
+            for (int a = 0; a < 4; ++a) {
+                in[a][l] = t < kCases
+                               ? cases[(t + l) % kCases][a]
+                               : pool[static_cast<int>(rng.uniform(0.0, 7.0)) % 7];
+                want[a][l] = in[a][l];
+            }
+            projectToSimplex4(want[0][l], want[1][l], want[2][l], want[3][l]);
+        }
+        TypeParam x0 = TypeParam::loadu(in[0]), x1 = TypeParam::loadu(in[1]),
+                  x2 = TypeParam::loadu(in[2]), x3 = TypeParam::loadu(in[3]);
+        projectToSimplex4Lanes(x0, x1, x2, x3);
+        const std::vector<double> got[4] = {allLanes(x0), allLanes(x1),
+                                            allLanes(x2), allLanes(x3)};
+        for (int a = 0; a < 4; ++a)
+            for (int l = 0; l < W; ++l)
+                EXPECT_EQ(std::memcmp(&got[a][static_cast<std::size_t>(l)],
+                                      &want[a][l], sizeof(double)),
+                          0)
+                    << "case " << t << " lane " << l << " phase " << a << ": "
+                    << got[a][static_cast<std::size_t>(l)] << " vs "
+                    << want[a][l];
+    }
 }
 
 TYPED_TEST(SimdWidthTest, LoadStoreAlignment) {

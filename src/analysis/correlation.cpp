@@ -1,5 +1,6 @@
 #include "analysis/correlation.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/lamellae.h" // indicatorPlane: the shared phase threshold
@@ -10,18 +11,42 @@ namespace tpf::analysis {
 namespace {
 inline int wrap(int v, int n) { return ((v % n) + n) % n; }
 
+/// The indicator plane tiled 2 x 2 (row stride 2 * nx): a periodic shift by
+/// (ox, oy) with 0 <= ox < nx, 0 <= oy < ny becomes a plain offset, so the
+/// lag loops need no modulo.
+std::vector<unsigned char> doubledPlane(const unsigned char* ind, int nx,
+                                        int ny) {
+    const std::size_t w = 2 * static_cast<std::size_t>(nx);
+    std::vector<unsigned char> dbl(w * 2 * static_cast<std::size_t>(ny));
+    for (int y = 0; y < 2 * ny; ++y) {
+        const unsigned char* src = ind + static_cast<std::size_t>(y % ny) *
+                                             static_cast<std::size_t>(nx);
+        unsigned char* dst = dbl.data() + static_cast<std::size_t>(y) * w;
+        std::copy(src, src + nx, dst);
+        std::copy(src, src + nx, dst + nx);
+    }
+    return dbl;
+}
+
 /// Integer S2 hit counts of one plane, accumulated into \p hits.
 void accumulatePlaneHits(const unsigned char* ind, int nx, int ny, int axis,
                          int maxShift, std::vector<long long>& hits) {
+    const std::vector<unsigned char> dbl = doubledPlane(ind, nx, ny);
+    const std::size_t w = 2 * static_cast<std::size_t>(nx);
+    // Offset of lag r inside the doubled plane.
+    std::vector<std::size_t> lagOffset(static_cast<std::size_t>(maxShift) + 1);
+    for (int r = 0; r <= maxShift; ++r)
+        lagOffset[static_cast<std::size_t>(r)] =
+            axis == 0 ? static_cast<std::size_t>(r % nx)
+                      : static_cast<std::size_t>(r % ny) * w;
     for (int y = 0; y < ny; ++y) {
         for (int x = 0; x < nx; ++x) {
             if (!ind[static_cast<std::size_t>(y) * nx + x]) continue;
-            for (int r = 0; r <= maxShift; ++r) {
-                const int xs = axis == 0 ? wrap(x + r, nx) : x;
-                const int ys = axis == 1 ? wrap(y + r, ny) : y;
-                if (ind[static_cast<std::size_t>(ys) * nx + xs])
+            const unsigned char* at =
+                dbl.data() + static_cast<std::size_t>(y) * w + x;
+            for (int r = 0; r <= maxShift; ++r)
+                if (at[lagOffset[static_cast<std::size_t>(r)]])
                     ++hits[static_cast<std::size_t>(r)];
-            }
         }
     }
 }
@@ -82,16 +107,20 @@ std::vector<double> correlationMap2DPlane(const unsigned char* ind, int nx,
     const int side = 2 * maxShift + 1;
     std::vector<double> map(static_cast<std::size_t>(side) * side, 0.0);
 
+    const std::vector<unsigned char> dbl = doubledPlane(ind, nx, ny);
+    const std::size_t w = 2 * static_cast<std::size_t>(nx);
     for (int dy = -maxShift; dy <= maxShift; ++dy) {
+        const auto oy = static_cast<std::size_t>(wrap(dy, ny));
         for (int dx = -maxShift; dx <= maxShift; ++dx) {
+            const auto ox = static_cast<std::size_t>(wrap(dx, nx));
             long long hits = 0;
             for (int y = 0; y < ny; ++y) {
-                const int ys = wrap(y + dy, ny);
-                for (int x = 0; x < nx; ++x) {
-                    const int xs = wrap(x + dx, nx);
-                    hits += ind[static_cast<std::size_t>(y) * nx + x] &
-                            ind[static_cast<std::size_t>(ys) * nx + xs];
-                }
+                const unsigned char* a = ind + static_cast<std::size_t>(y) * nx;
+                const unsigned char* b =
+                    dbl.data() + (static_cast<std::size_t>(y) + oy) * w + ox;
+                int rowHits = 0;
+                for (int x = 0; x < nx; ++x) rowHits += a[x] & b[x];
+                hits += rowHits;
             }
             map[static_cast<std::size_t>(dy + maxShift) * side +
                 (dx + maxShift)] =

@@ -7,6 +7,7 @@
 #include "core/solver.h"
 #include "io/writers.h"
 #include "util/assert.h"
+#include "util/thread_pool.h"
 
 namespace tpf::analysis {
 
@@ -53,23 +54,32 @@ void MeshObserver::sample(core::Solver& solver, long long step) {
     vmpi::Comm* comm = solver.comm();
     const bool isRoot = comm == nullptr || comm->isRoot();
 
+    io::MeshPipelineOptions po;
+    po.iso = opt_.iso;
+    po.reduceTarget = opt_.reduceTarget;
+    po.pool = solver.pool();
+    const std::vector<io::TriMesh> meshes = io::extractGlobalPhaseSurfaces(
+        solver.localBlocks(), solver.forest(), comm, opt_.phases, po,
+        &timings_);
+    if (!isRoot) return;
+
+    // Each phase's OBJ frame and index statistics depend on that phase's
+    // mesh alone, so root fans them out over the pool; the row is assembled
+    // in phase order.
+    const std::size_t n = opt_.phases.size();
+    std::vector<double> stats(4 * n);
+    util::parallelFor(solver.pool(), static_cast<int>(n), [&](int k) {
+        const auto i = static_cast<std::size_t>(k);
+        const io::TriMesh& mesh = meshes[i];
+        io::writeObj(opt_.dir + "/" + objName(opt_.phases[i], step), mesh);
+        stats[4 * i + 0] = static_cast<double>(mesh.numTriangles());
+        stats[4 * i + 1] = static_cast<double>(mesh.numVertices());
+        stats[4 * i + 2] = mesh.totalArea();
+        stats[4 * i + 3] = static_cast<double>(mesh.eulerCharacteristic());
+    });
     std::vector<double> row{solver.time()};
-    for (const int phase : opt_.phases) {
-        io::MeshPipelineOptions po;
-        po.iso = opt_.iso;
-        po.reduceTarget = opt_.reduceTarget;
-        po.pool = solver.pool();
-        const io::TriMesh mesh = io::extractGlobalPhaseSurface(
-            solver.localBlocks(), solver.forest(), comm, phase, po,
-            &timings_);
-        if (!isRoot) continue;
-        io::writeObj(opt_.dir + "/" + objName(phase, step), mesh);
-        row.push_back(static_cast<double>(mesh.numTriangles()));
-        row.push_back(static_cast<double>(mesh.numVertices()));
-        row.push_back(mesh.totalArea());
-        row.push_back(static_cast<double>(mesh.eulerCharacteristic()));
-    }
-    if (isRoot && csv_.isOpen()) csv_.writeRow(step, row);
+    row.insert(row.end(), stats.begin(), stats.end());
+    if (csv_.isOpen()) csv_.writeRow(step, row);
 }
 
 void MeshObserver::attach(core::Solver& solver) {

@@ -386,7 +386,8 @@ void runRank(const RunOptions& opt, const core::SolverConfig& cfg,
     }
     if (mesh) {
         const io::MeshPipelineTimings& mt = mesh->timings();
-        std::printf("mesh pipeline (total): extract %.3f s  simplify %.3f s  "
+        std::printf("mesh pipeline (total): extract %.3f s  simplify %.3f s "
+                    "(per-task busy time, summed over threads)  "
                     "gather+stitch %.3f s\n",
                     mt.extractSec, mt.simplifySec, mt.gatherSec);
     }

@@ -89,43 +89,72 @@ void initVoronoi(SimBlock& b, const BlockForest& bf, const VoronoiConfig& cfg,
         return 0.5 * (1.0 + sinpiCompact(s));
     };
 
-    forEachCell(phi.withGhosts(), [&](int x, int y, int z) {
-        const double gx = static_cast<double>(b.origin.x + x) + 0.5;
-        const double gy = static_cast<double>(b.origin.y + y) + 0.5;
+    // The nearest-seed search depends on the lateral position only, so it
+    // runs once per (x, y) column of the block (ghosts included) rather than
+    // once per cell, and only when some z plane is not fully liquid.
+    struct Column {
+        int phase1 = 0, phase2 = 0;
+        double w1 = 0.0; ///< weight of phase1 across the Voronoi edge
+    };
+    const CellInterval all = phi.withGhosts();
+    const int rowLen = all.xMax - all.xMin + 1;
+    bool anySolid = false;
+    for (int z = all.zMin; z <= all.zMax; ++z) {
+        const double gz = static_cast<double>(b.origin.z + z) + 0.5;
+        anySolid |= liquidFraction(gz) < 1.0;
+    }
+    std::vector<Column> columns;
+    if (anySolid) {
+        columns.resize(static_cast<std::size_t>(rowLen) *
+                       static_cast<std::size_t>(all.yMax - all.yMin + 1));
+        for (int y = all.yMin; y <= all.yMax; ++y) {
+            for (int x = all.xMin; x <= all.xMax; ++x) {
+                const double gx = static_cast<double>(b.origin.x + x) + 0.5;
+                const double gy = static_cast<double>(b.origin.y + y) + 0.5;
+                // Nearest seed and nearest seed of a *different* phase: the
+                // solid-solid boundary gets the same compact sine profile
+                // across the Voronoi edge (sharp lateral boundaries would
+                // imprint a long-lived chemical-potential transient into the
+                // solid, where diffusion is frozen).
+                double d1 = 1e300, d2 = 1e300;
+                int phase1 = 0, phase2 = 0;
+                for (const Seed& s : seeds) {
+                    const double d = std::sqrt(periodicDist2(
+                        gx - s.x, gy - s.y, static_cast<double>(g.x),
+                        static_cast<double>(g.y), per[0], per[1]));
+                    if (d < d1) {
+                        if (phase1 != s.phase) {
+                            d2 = d1;
+                            phase2 = phase1;
+                        }
+                        d1 = d;
+                        phase1 = s.phase;
+                    } else if (d < d2 && s.phase != phase1) {
+                        d2 = d;
+                        phase2 = s.phase;
+                    }
+                }
+                const double edgeDist = 0.5 * (d2 - d1); // 0 on the edge
+                const double t = std::min(edgeDist / w, 0.5);
+                columns[static_cast<std::size_t>(y - all.yMin) * rowLen +
+                        static_cast<std::size_t>(x - all.xMin)] =
+                    Column{phase1, phase2, 0.5 * (1.0 + sinpiCompact(t))};
+            }
+        }
+    }
+
+    forEachCell(all, [&](int x, int y, int z) {
         const double gz = static_cast<double>(b.origin.z + z) + 0.5;
 
         const double liq = liquidFraction(gz);
         double p[N] = {0.0, 0.0, 0.0, 0.0};
         p[LIQ] = liq;
         if (liq < 1.0) {
-            // Nearest seed and nearest seed of a *different* phase: the
-            // solid-solid boundary gets the same compact sine profile across
-            // the Voronoi edge (sharp lateral boundaries would imprint a
-            // long-lived chemical-potential transient into the solid, where
-            // diffusion is frozen).
-            double d1 = 1e300, d2 = 1e300;
-            int phase1 = 0, phase2 = 0;
-            for (const Seed& s : seeds) {
-                const double d = std::sqrt(periodicDist2(
-                    gx - s.x, gy - s.y, static_cast<double>(g.x),
-                    static_cast<double>(g.y), per[0], per[1]));
-                if (d < d1) {
-                    if (phase1 != s.phase) {
-                        d2 = d1;
-                        phase2 = phase1;
-                    }
-                    d1 = d;
-                    phase1 = s.phase;
-                } else if (d < d2 && s.phase != phase1) {
-                    d2 = d;
-                    phase2 = s.phase;
-                }
-            }
-            const double edgeDist = 0.5 * (d2 - d1); // >= 0, 0 on the edge
-            const double t = std::min(edgeDist / w, 0.5);
-            const double w1 = 0.5 * (1.0 + sinpiCompact(t));
-            p[phase1] += (1.0 - liq) * w1;
-            p[phase2] += (1.0 - liq) * (1.0 - w1);
+            const Column& c =
+                columns[static_cast<std::size_t>(y - all.yMin) * rowLen +
+                        static_cast<std::size_t>(x - all.xMin)];
+            p[c.phase1] += (1.0 - liq) * c.w1;
+            p[c.phase2] += (1.0 - liq) * (1.0 - c.w1);
         }
         projectToSimplex4(p[0], p[1], p[2], p[3]);
         for (int a = 0; a < N; ++a) phi(x, y, z, a) = p[a];

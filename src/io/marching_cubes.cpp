@@ -168,12 +168,7 @@ TriMesh extractIsoSurface(const Field<double>& field, int component, double iso,
         marchCubeRange(parts[static_cast<std::size_t>(i)], field, component,
                        iso, origin, s.zMin, s.zMax + 1, /*wrapXY=*/false);
     };
-    if (pool != nullptr && pool->threads() > 1 && slabs.size() > 1) {
-        pool->parallelFor(static_cast<int>(slabs.size()), extractSlab);
-    } else {
-        for (std::size_t i = 0; i < slabs.size(); ++i)
-            extractSlab(static_cast<int>(i));
-    }
+    util::parallelFor(pool, static_cast<int>(slabs.size()), extractSlab);
 
     TriMesh mesh;
     for (const TriMesh& part : parts) mesh.append(part);
@@ -188,8 +183,8 @@ TriMesh extractIsoSurface(const Field<double>& field, int component, double iso,
     return extractIsoSurface(field, component, iso, origin, nullptr);
 }
 
-TriMesh extractIsoSurfaceWrapXY(const Field<double>& field, int component,
-                                double iso, Vec3 origin, int z0, int z1) {
+TriMesh marchIsoSurfaceWrapXY(const Field<double>& field, int component,
+                              double iso, Vec3 origin, int z0, int z1) {
     TPF_ASSERT(field.ghost() >= 1,
                "iso-surface extraction reads the +1 z ghost plane");
     TPF_ASSERT(z0 >= 0 && z1 <= field.nz() && z0 <= z1,
@@ -197,6 +192,12 @@ TriMesh extractIsoSurfaceWrapXY(const Field<double>& field, int component,
     TriMesh mesh;
     marchCubeRange(mesh, field, component, iso, origin, z0, z1,
                    /*wrapXY=*/true);
+    return mesh;
+}
+
+TriMesh extractIsoSurfaceWrapXY(const Field<double>& field, int component,
+                                double iso, Vec3 origin, int z0, int z1) {
+    TriMesh mesh = marchIsoSurfaceWrapXY(field, component, iso, origin, z0, z1);
     mesh.weldVertices(1e-7);
     return mesh;
 }

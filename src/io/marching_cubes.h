@@ -41,6 +41,11 @@ TriMesh extractIsoSurface(const Field<double>& field, int component, double iso,
 TriMesh extractIsoSurfaceWrapXY(const Field<double>& field, int component,
                                 double iso, Vec3 origin, int z0, int z1);
 
+/// extractIsoSurfaceWrapXY() without its weld: every triangle carries its own
+/// three vertex copies, the raw marching output the weld consumes.
+TriMesh marchIsoSurfaceWrapXY(const Field<double>& field, int component,
+                              double iso, Vec3 origin, int z0, int z1);
+
 /// Interface mesh of one phase of a simulation block (phi_a = 0.5 surface)
 /// in global cell coordinates.
 TriMesh extractPhaseSurface(const core::SimBlock& blk, int phase,

@@ -10,21 +10,71 @@ namespace tpf::io {
 
 namespace {
 
-/// Hash key of a quantized 3D position.
-struct QuantKey {
-    std::int64_t x, y, z;
-    bool operator==(const QuantKey&) const = default;
-};
-
-struct QuantKeyHash {
-    std::size_t operator()(const QuantKey& k) const {
-        std::uint64_t h = 1469598103934665603ULL;
-        for (std::int64_t v : {k.x, k.y, k.z}) {
-            h ^= static_cast<std::uint64_t>(v);
-            h *= 1099511628211ULL;
-        }
-        return static_cast<std::size_t>(h);
+/// Weld lookup over 4x4x4 super-bins of the quantization grid: an
+/// open-addressing table from super-bin coordinates (bin >> 2, which floors
+/// on negative bins too) to the head of an intrusive chain of kept-vertex
+/// indices. The neighbourhood [b-1, b+1] of a bin b spans one or two
+/// super-bins per axis, so a lookup probes 1-8 slots instead of 27 bins.
+class SuperBinTable {
+public:
+    explicit SuperBinTable(std::size_t expected) {
+        std::size_t cap = 16;
+        while (cap < 2 * expected) cap *= 2;
+        slots_.assign(cap, Slot{});
     }
+
+    /// Chain head of super-bin (x, y, z); -1 when the super-bin is empty.
+    int find(std::int64_t x, std::int64_t y, std::int64_t z) const {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = hash(x, y, z) & mask;; i = (i + 1) & mask) {
+            const Slot& s = slots_[i];
+            if (s.head < 0) return -1;
+            if (s.x == x && s.y == y && s.z == z) return s.head;
+        }
+    }
+
+    /// Chain head slot of super-bin (x, y, z), inserted as -1 when absent.
+    int& head(std::int64_t x, std::int64_t y, std::int64_t z) {
+        if (2 * (used_ + 1) > slots_.size()) grow();
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = hash(x, y, z) & mask;; i = (i + 1) & mask) {
+            Slot& s = slots_[i];
+            if (s.head < 0) {
+                s = Slot{x, y, z, -1};
+                ++used_;
+                return s.head;
+            }
+            if (s.x == x && s.y == y && s.z == z) return s.head;
+        }
+    }
+
+private:
+    struct Slot {
+        std::int64_t x = 0, y = 0, z = 0;
+        int head = -1; ///< -1: free slot (a stored chain is never empty)
+    };
+
+    static std::size_t hash(std::int64_t x, std::int64_t y, std::int64_t z) {
+        std::uint64_t h = static_cast<std::uint64_t>(x) * 0x9E3779B97F4A7C15ULL;
+        h ^= static_cast<std::uint64_t>(y) * 0xC2B2AE3D27D4EB4FULL;
+        h ^= static_cast<std::uint64_t>(z) * 0x165667B19E3779F9ULL;
+        return static_cast<std::size_t>(h ^ (h >> 29));
+    }
+
+    void grow() {
+        std::vector<Slot> old(2 * slots_.size());
+        old.swap(slots_);
+        const std::size_t mask = slots_.size() - 1;
+        for (const Slot& s : old) {
+            if (s.head < 0) continue;
+            std::size_t i = hash(s.x, s.y, s.z) & mask;
+            while (slots_[i].head >= 0) i = (i + 1) & mask;
+            slots_[i] = s;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
 };
 
 } // namespace
@@ -37,44 +87,50 @@ void TriMesh::append(const TriMesh& o) {
         triangles.push_back({t[0] + base, t[1] + base, t[2] + base});
 }
 
-void TriMesh::weldVertices(double tol) {
+std::vector<int> TriMesh::weldVertices(double tol) {
     TPF_ASSERT(tol > 0.0, "weld tolerance must be positive");
     const double inv = 1.0 / tol;
 
-    // Hash grid of kept-vertex indices per quantization bin. A bin can hold
-    // several representatives (points within a bin but further than tol
-    // apart along some axis stay distinct), so each bin stores the head of
-    // an intrusive chain through chainPrev — a per-bin std::vector would
-    // cost one heap allocation per bin, which dominates the weld on raw
-    // marching-tet output where nearly every kept vertex opens a new bin.
-    std::unordered_map<QuantKey, int, QuantKeyHash> bins;
-    bins.reserve(vertices.size());
+    // Each kept vertex sits in the quantization bin of its position. A bin
+    // can hold several representatives (points within a bin but further
+    // than tol apart along some axis stay distinct); the super-bin table
+    // chains them intrusively through chainPrev, so no bin costs a heap
+    // allocation. The table starts at the size a raw marching-tet mesh
+    // needs (about one kept vertex per four inputs) and grows on demand.
+    SuperBinTable table(vertices.size() / 4);
     std::vector<int> remap(vertices.size());
     std::vector<Vec3> keptVertices;
-    keptVertices.reserve(vertices.size());
-    std::vector<int> chainPrev; ///< kept index -> previous kept in same bin
-    chainPrev.reserve(vertices.size());
+    std::vector<std::array<std::int64_t, 3>> keptBins;
+    std::vector<int> chainPrev; ///< kept index -> previous in its super-bin
 
     for (std::size_t i = 0; i < vertices.size(); ++i) {
         const Vec3& v = vertices[i];
         const std::int64_t bx = static_cast<std::int64_t>(std::llround(v.x * inv));
         const std::int64_t by = static_cast<std::int64_t>(std::llround(v.y * inv));
         const std::int64_t bz = static_cast<std::int64_t>(std::llround(v.z * inv));
-        // Probe the 27 neighbor bins: two points within tol can land in
-        // adjacent bins when they straddle a quantization boundary, which
-        // used to leave hairline cracks at tet/cube seams. Among all
-        // candidates within tol (per axis) the earliest-kept index wins, so
-        // welding stays a pure function of the input vertex order —
-        // first-insertion order, never the hash layout.
+        // Candidates are the kept vertices of the 27 bins around (bx, by,
+        // bz): two points within tol can land in adjacent bins when they
+        // straddle a quantization boundary, which used to leave hairline
+        // cracks at tet/cube seams. The super-bins covering [b-1, b+1] hold
+        // every such vertex, and the stored-bin test drops the others, so the
+        // candidate set is exactly the 27-bin one. Among all candidates
+        // within tol (per axis) the earliest-kept index wins, so welding
+        // stays a pure function of the input vertex order — first-insertion
+        // order, never the table layout or the probe order.
         int match = -1;
-        for (int dz = -1; dz <= 1; ++dz) {
-            for (int dy = -1; dy <= 1; ++dy) {
-                for (int dx = -1; dx <= 1; ++dx) {
-                    const auto it = bins.find(QuantKey{bx + dx, by + dy, bz + dz});
-                    if (it == bins.end()) continue;
-                    for (int k = it->second; k >= 0;
+        for (std::int64_t sz = (bz - 1) >> 2; sz <= (bz + 1) >> 2; ++sz) {
+            for (std::int64_t sy = (by - 1) >> 2; sy <= (by + 1) >> 2; ++sy) {
+                for (std::int64_t sx = (bx - 1) >> 2; sx <= (bx + 1) >> 2;
+                     ++sx) {
+                    for (int k = table.find(sx, sy, sz); k >= 0;
                          k = chainPrev[static_cast<std::size_t>(k)]) {
-                        const Vec3& u = keptVertices[static_cast<std::size_t>(k)];
+                        const auto kk = static_cast<std::size_t>(k);
+                        const auto& kb = keptBins[kk];
+                        if (kb[0] < bx - 1 || kb[0] > bx + 1 ||
+                            kb[1] < by - 1 || kb[1] > by + 1 ||
+                            kb[2] < bz - 1 || kb[2] > bz + 1)
+                            continue; // outside the 27-bin neighbourhood
+                        const Vec3& u = keptVertices[kk];
                         if (std::abs(u.x - v.x) <= tol &&
                             std::abs(u.y - v.y) <= tol &&
                             std::abs(u.z - v.z) <= tol &&
@@ -87,9 +143,10 @@ void TriMesh::weldVertices(double tol) {
         if (match < 0) {
             match = static_cast<int>(keptVertices.size());
             keptVertices.push_back(v);
-            const auto ins = bins.emplace(QuantKey{bx, by, bz}, match);
-            chainPrev.push_back(ins.second ? -1 : ins.first->second);
-            ins.first->second = match;
+            keptBins.push_back({bx, by, bz});
+            int& head = table.head(bx >> 2, by >> 2, bz >> 2);
+            chainPrev.push_back(head);
+            head = match;
         }
         remap[i] = match;
     }
@@ -106,6 +163,7 @@ void TriMesh::weldVertices(double tol) {
 
     vertices = std::move(keptVertices);
     triangles = std::move(keptTriangles);
+    return remap;
 }
 
 void TriMesh::compactVertices() {
@@ -182,19 +240,6 @@ bool TriMesh::isClosed() const {
     for (const auto& [edge, count] : edgeUseCounts(*this))
         if (count != 2) return false;
     return true;
-}
-
-std::vector<char> TriMesh::openBoundaryVertices() const {
-    std::vector<char> flags(vertices.size(), 0);
-    // tpf-lint: allow(unordered-iteration) -- idempotent flag sets; the
-    // resulting vector is independent of hash iteration order.
-    for (const auto& [edge, count] : edgeUseCounts(*this)) {
-        if (count == 1) {
-            flags[static_cast<std::size_t>(edge.a)] = 1;
-            flags[static_cast<std::size_t>(edge.b)] = 1;
-        }
-    }
-    return flags;
 }
 
 std::pair<Vec3, Vec3> TriMesh::boundingBox() const {

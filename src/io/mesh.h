@@ -24,10 +24,11 @@ struct TriMesh {
     /// Append another mesh (indices shifted).
     void append(const TriMesh& o);
 
-    /// Merge vertices closer than \p tol (hash grid on quantized positions),
-    /// drop degenerate triangles. This is the stitching step for per-block
-    /// meshes that share vertices on block boundaries.
-    void weldVertices(double tol = 1e-9);
+    /// Merge vertices closer than \p tol per axis (hash grid on quantized
+    /// positions; the earliest kept vertex wins), drop degenerate triangles.
+    /// This is the stitching step for per-block meshes that share vertices
+    /// on block boundaries. Returns the map from input to kept vertex index.
+    std::vector<int> weldVertices(double tol = 1e-9);
 
     /// Remove vertices not referenced by any triangle.
     void compactVertices();
@@ -39,11 +40,6 @@ struct TriMesh {
 
     /// True if every edge is shared by exactly two triangles (watertight).
     bool isClosed() const;
-
-    /// Flags (per vertex) marking vertices on open-boundary edges (edges used
-    /// by exactly one triangle) — the borders that later stitching steps must
-    /// find intact.
-    std::vector<char> openBoundaryVertices() const;
 
     /// Approximate storage footprint (used by the I/O reduction benchmark).
     std::size_t memoryBytes() const {

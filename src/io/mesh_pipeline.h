@@ -21,8 +21,9 @@
 ///    rank-ordered gatherAllBytes already delivers them that way, and the
 ///    explicit sort makes the order independent of the rank count — and
 ///    runs one final boundary weld.
-/// Thread parallelism fans the chunk list over the rank's sweep pool; the
-/// per-chunk results land in preallocated slots, so the thread count never
+/// Thread parallelism fans every (component, chunk) pair out over the rank's
+/// sweep pool in one parallelFor, followed by one gather for all components;
+/// the per-task results land in preallocated slots, so the thread count never
 /// changes the output. Bitwise invariance across *rank counts* additionally
 /// needs the block z-splits aligned to the kSlabHeight grid (true for every
 /// production z-slab split with nz % 8 == 0 per rank).
@@ -52,8 +53,11 @@ struct MeshPipelineOptions {
     util::ThreadPool* pool = nullptr;
 };
 
-/// Wall-clock seconds per pipeline stage of one extraction (accumulated over
-/// the local chunks; gather includes the root-side stitch).
+/// Seconds per pipeline stage, accumulated over calls. Extraction and
+/// reduction overlap inside one fan-out, so extractSec and simplifySec are
+/// summed per-task busy time (over all threads; reduction includes the
+/// chunk's serialization); gatherSec is the wall time of the gather plus the
+/// root-side stitch.
 struct MeshPipelineTimings {
     double extractSec = 0.0;
     double simplifySec = 0.0;
@@ -67,21 +71,23 @@ struct MeshLocalSlab {
     Int3 origin; ///< global cell coordinates of the slab's first interior cell
 };
 
-/// Collective: extract the global iso-surface of \p component from the
-/// rank-local slabs, simplify each chunk in situ, gather rank-ordered and
-/// stitch on root. Returns the stitched mesh on root (empty elsewhere).
-/// Every rank must pass its own slabs and the same options.
-TriMesh stitchIsoSurface(const std::vector<MeshLocalSlab>& slabs,
-                         int component, vmpi::Comm* comm,
-                         const MeshPipelineOptions& opt,
-                         MeshPipelineTimings* timings = nullptr);
+/// Collective: extract the global iso-surface of every entry of
+/// \p components from the rank-local slabs, simplify each chunk in situ,
+/// gather rank-ordered and stitch on root. Returns one stitched mesh per
+/// component on root (empty meshes elsewhere). Every rank must pass its own
+/// slabs, the same components and the same options.
+std::vector<TriMesh> stitchIsoSurfaces(const std::vector<MeshLocalSlab>& slabs,
+                                       const std::vector<int>& components,
+                                       vmpi::Comm* comm,
+                                       const MeshPipelineOptions& opt,
+                                       MeshPipelineTimings* timings = nullptr);
 
-/// Convenience wrapper over a solver's local blocks: phase surface
-/// (phi_phase == opt.iso) of the z-slab-decomposed forest. Asserts the
-/// decomposition is z-only (blockGrid x = y = 1).
-TriMesh extractGlobalPhaseSurface(
+/// Convenience wrapper over a solver's local blocks: phase surfaces
+/// (phi_phase == opt.iso) of the z-slab-decomposed forest, one per entry of
+/// \p phases. Asserts the decomposition is z-only (blockGrid x = y = 1).
+std::vector<TriMesh> extractGlobalPhaseSurfaces(
     const std::vector<std::unique_ptr<core::SimBlock>>& blocks,
-    const BlockForest& bf, vmpi::Comm* comm, int phase,
+    const BlockForest& bf, vmpi::Comm* comm, const std::vector<int>& phases,
     const MeshPipelineOptions& opt, MeshPipelineTimings* timings = nullptr);
 
 } // namespace tpf::io

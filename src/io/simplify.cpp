@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <unordered_set>
 
 #include "util/assert.h"
 
@@ -70,13 +68,24 @@ struct Quadric {
     }
 };
 
+/// A collapse candidate as the heap orders it: 16 bytes, so heap sifts move
+/// little. The rest of the candidate lives in a side array under \p id.
 struct HeapEntry {
     double error;
+    int id;
+};
+
+/// Min-heap on the error alone, through the std::push_heap/std::pop_heap
+/// algorithm std::priority_queue runs: equal errors pop in the same order as
+/// a priority_queue of full candidates with the same comparator would.
+bool laterCollapse(const HeapEntry& a, const HeapEntry& b) {
+    return a.error > b.error;
+}
+
+struct Candidate {
     int v1, v2;       ///< collapse v2 into v1 at position pos
     Vec3 pos;
-    long long stamp1, stamp2; ///< vertex versions at push time
-
-    bool operator<(const HeapEntry& o) const { return error > o.error; }
+    int stamp1, stamp2; ///< vertex versions at push time
 };
 
 struct Connectivity {
@@ -112,71 +121,79 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
             quadrics[static_cast<std::size_t>(corner)].addPlane(n, d, w);
     }
 
-    // --- open-boundary constraint planes + locked-vertex pins ---
+    // --- open-boundary constraint planes, locked-vertex pins, seed order ---
+    // Edges in sorted (a < b) key order instead of a hash map: the boundary
+    // planes below are accumulated into floating-point quadrics, and
+    // accumulation order must not depend on hash iteration order or the
+    // simplified mesh stops being bitwise reproducible across standard
+    // libraries (tpf-lint: unordered-iteration). The order comes from a
+    // counting sort on a, then a sort of each vertex's short (b, 3f+e) run.
+    // Each entry carries its edge slot 3f+e, so the first entry of a key
+    // group is the edge's first occurrence in face order — the order the
+    // heap is seeded in below.
+    std::vector<char> locked(nv, 0);
+    std::vector<char> firstUse(3 * nf, 0); ///< edge slot 3f+e seeds the heap
     {
-        // Sorted edge list instead of a hash map: the boundary planes below
-        // are accumulated into floating-point quadrics, and accumulation
-        // order must not depend on hash iteration order or the simplified
-        // mesh stops being bitwise reproducible across standard libraries
-        // (tpf-lint: unordered-iteration).
-        std::vector<std::pair<long long, int>> edges; // (packed a<b key, face)
-        edges.reserve(nf * 3);
-        for (std::size_t f = 0; f < nf; ++f) {
-            const auto& t = mesh.triangles[f];
-            for (int e = 0; e < 3; ++e) {
-                int a = t[static_cast<std::size_t>(e)];
-                int b = t[static_cast<std::size_t>((e + 1) % 3)];
-                if (a > b) std::swap(a, b);
-                edges.emplace_back((static_cast<long long>(a) << 32) | b,
-                                   static_cast<int>(f));
+        const auto edgeOf = [&](std::size_t slot) {
+            const auto& t = mesh.triangles[slot / 3];
+            const int a = t[slot % 3];
+            const int b = t[(slot + 1) % 3];
+            return a < b ? std::pair{a, b} : std::pair{b, a};
+        };
+        std::vector<int> runStart(nv + 1, 0); ///< a -> first entry of its run
+        for (std::size_t slot = 0; slot < 3 * nf; ++slot)
+            ++runStart[static_cast<std::size_t>(edgeOf(slot).first) + 1];
+        for (std::size_t v = 0; v < nv; ++v) runStart[v + 1] += runStart[v];
+        std::vector<std::pair<int, int>> edges(3 * nf); // (b, 3f+e) by a
+        {
+            std::vector<int> fill(runStart.begin(), runStart.end() - 1);
+            for (std::size_t slot = 0; slot < 3 * nf; ++slot) {
+                const auto [a, b] = edgeOf(slot);
+                edges[static_cast<std::size_t>(
+                    fill[static_cast<std::size_t>(a)]++)] = {
+                    b, static_cast<int>(slot)};
             }
         }
-        std::sort(edges.begin(), edges.end());
-        for (std::size_t i = 0; i < edges.size();) {
-            std::size_t j = i + 1;
-            while (j < edges.size() && edges[j].first == edges[i].first) ++j;
-            const bool boundaryEdge = (j - i == 1);
-            const long long key = edges[i].first;
-            const int face = edges[i].second;
-            i = j;
-            if (!boundaryEdge) continue; // interior edge
-            const int ea = static_cast<int>(key >> 32);
-            const int eb = static_cast<int>(key & 0xffffffffLL);
-            // Constraint plane through the edge, perpendicular to the face.
-            const auto& t = mesh.triangles[static_cast<std::size_t>(face)];
-            const Vec3& a = mesh.vertices[static_cast<std::size_t>(ea)];
-            const Vec3& b = mesh.vertices[static_cast<std::size_t>(eb)];
-            const Vec3& fa = mesh.vertices[static_cast<std::size_t>(t[0])];
-            const Vec3& fb = mesh.vertices[static_cast<std::size_t>(t[1])];
-            const Vec3& fc3 = mesh.vertices[static_cast<std::size_t>(t[2])];
-            const Vec3 faceN = (fb - fa).cross(fc3 - fa);
-            Vec3 n = (b - a).cross(faceN);
-            const double len = n.norm();
-            if (len < 1e-300) continue;
-            n = n * (1.0 / len);
-            quadrics[static_cast<std::size_t>(ea)].addPlane(
-                n, -n.dot(a), opt.openBoundaryWeight);
-            quadrics[static_cast<std::size_t>(eb)].addPlane(
-                n, -n.dot(b), opt.openBoundaryWeight);
+        for (std::size_t v = 0; v < nv; ++v) {
+            const auto runBegin = static_cast<std::size_t>(runStart[v]);
+            const auto runEnd = static_cast<std::size_t>(runStart[v + 1]);
+            std::sort(edges.begin() + static_cast<std::ptrdiff_t>(runBegin),
+                      edges.begin() + static_cast<std::ptrdiff_t>(runEnd));
+            for (std::size_t i = runBegin; i < runEnd;) {
+                std::size_t j = i + 1;
+                while (j < runEnd && edges[j].first == edges[i].first) ++j;
+                const bool boundaryEdge = (j - i == 1);
+                const auto ea = v;
+                const auto eb = static_cast<std::size_t>(edges[i].first);
+                const auto slot = static_cast<std::size_t>(edges[i].second);
+                firstUse[slot] = 1;
+                i = j;
+                if (!boundaryEdge) continue; // interior edge
+                if (opt.lockOpenBoundary) locked[ea] = locked[eb] = 1;
+                // Constraint plane through the edge, perpendicular to the
+                // face.
+                const auto& t = mesh.triangles[slot / 3];
+                const Vec3& a = mesh.vertices[ea];
+                const Vec3& b = mesh.vertices[eb];
+                const Vec3& fa = mesh.vertices[static_cast<std::size_t>(t[0])];
+                const Vec3& fb = mesh.vertices[static_cast<std::size_t>(t[1])];
+                const Vec3& fc = mesh.vertices[static_cast<std::size_t>(t[2])];
+                const Vec3 faceN = (fb - fa).cross(fc - fa);
+                Vec3 n = (b - a).cross(faceN);
+                const double len = n.norm();
+                if (len < 1e-300) continue;
+                n = n * (1.0 / len);
+                quadrics[ea].addPlane(n, -n.dot(a), opt.openBoundaryWeight);
+                quadrics[eb].addPlane(n, -n.dot(b), opt.openBoundaryWeight);
+            }
         }
     }
     // Locked vertices (block-boundary preservation during hierarchical
     // reduction): edges touching them are never collapsed.
-    std::vector<char> locked(nv, 0);
-    bool anyLocked = false;
-    if (opt.lockedFlags) {
-        TPF_ASSERT(opt.lockedFlags->size() == nv, "lock flag size mismatch");
-        locked = *opt.lockedFlags;
-        for (char c : locked) anyLocked |= (c != 0);
-    }
     if (opt.lockedVertex) {
         for (std::size_t v = 0; v < nv; ++v)
-            if (opt.lockedVertex(mesh.vertices[v])) {
-                locked[v] = 1;
-                anyLocked = true;
-            }
+            if (opt.lockedVertex(mesh.vertices[v])) locked[v] = 1;
     }
-    (void)anyLocked;
 
     // --- connectivity ---
     Connectivity conn;
@@ -187,8 +204,10 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
             conn.vertexFaces[static_cast<std::size_t>(corner)].push_back(
                 static_cast<int>(f));
 
-    std::vector<long long> stamp(nv, 0);
-    std::priority_queue<HeapEntry> heap;
+    std::vector<int> stamp(nv, 0);
+    std::vector<HeapEntry> heap;
+    std::vector<Candidate> candidates; ///< indexed by HeapEntry::id
+    std::vector<int> freeIds;          ///< candidate slots popped off the heap
 
     auto pushEdge = [&](int v1, int v2) {
         if (v1 == v2) return;
@@ -218,25 +237,31 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
                 }
             }
         }
-        heap.push(HeapEntry{bestErr, v1, v2, best,
-                            stamp[static_cast<std::size_t>(v1)],
-                            stamp[static_cast<std::size_t>(v2)]});
+        const Candidate c{v1, v2, best, stamp[static_cast<std::size_t>(v1)],
+                          stamp[static_cast<std::size_t>(v2)]};
+        int id;
+        if (freeIds.empty()) {
+            id = static_cast<int>(candidates.size());
+            candidates.push_back(c);
+        } else {
+            id = freeIds.back();
+            freeIds.pop_back();
+            candidates[static_cast<std::size_t>(id)] = c;
+        }
+        heap.push_back(HeapEntry{bestErr, id});
+        std::push_heap(heap.begin(), heap.end(), laterCollapse);
     };
 
-    // Seed the heap with all edges.
-    {
-        std::unordered_set<long long> seen;
-        for (std::size_t f = 0; f < nf; ++f) {
-            const auto& t = mesh.triangles[f];
-            for (int e = 0; e < 3; ++e) {
-                int a = t[static_cast<std::size_t>(e)];
-                int b = t[static_cast<std::size_t>((e + 1) % 3)];
-                if (a > b) std::swap(a, b);
-                if (seen.insert((static_cast<long long>(a) << 32) | b).second)
-                    pushEdge(a, b);
-            }
-        }
+    // Seed the heap with every edge, in first-occurrence order.
+    for (std::size_t slot = 0; slot < firstUse.size(); ++slot) {
+        if (!firstUse[slot]) continue;
+        const auto& t = mesh.triangles[slot / 3];
+        int a = t[slot % 3];
+        int b = t[(slot + 1) % 3];
+        if (a > b) std::swap(a, b);
+        pushEdge(a, b);
     }
+    firstUse = {};
 
     std::size_t aliveFaces = nf;
     std::size_t collapses = 0;
@@ -245,12 +270,15 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
     std::vector<int> neighbors; // reused across collapses (hot loop)
 
     while (aliveFaces > target && !heap.empty()) {
-        const HeapEntry top = heap.top();
-        heap.pop();
+        std::pop_heap(heap.begin(), heap.end(), laterCollapse);
+        const HeapEntry entry = heap.back();
+        heap.pop_back();
+        const Candidate top = candidates[static_cast<std::size_t>(entry.id)];
+        freeIds.push_back(entry.id);
         const auto v1 = static_cast<std::size_t>(top.v1);
         const auto v2 = static_cast<std::size_t>(top.v2);
         if (top.stamp1 != stamp[v1] || top.stamp2 != stamp[v2]) continue;
-        if (top.error > opt.maxError) break;
+        if (entry.error > opt.maxError) break;
 
         // Fold-over check: surviving faces around v1/v2 must not flip.
         bool flip = false;

@@ -8,7 +8,7 @@
 /// Boundary preservation mirrors the paper's hierarchical scheme: "assigning
 /// a high weight to all vertices that are located on block boundaries, the
 /// boundaries are preserved such that the later stitching step can work
-/// correctly" — pass a lock predicate / weight for such vertices.
+/// correctly" — pass a lock predicate, or lock the open boundary.
 
 #include <functional>
 
@@ -27,8 +27,10 @@ struct SimplifyOptions {
     /// Predicate marking vertices to pin exactly (no collapse touches them);
     /// may be empty.
     std::function<bool(const Vec3&)> lockedVertex;
-    /// Alternative per-index lock flags (same semantics; either may be set).
-    const std::vector<char>* lockedFlags = nullptr;
+    /// Also pin every vertex on an open-boundary edge (an edge used by
+    /// exactly one triangle): the borders a later stitching weld must find
+    /// intact.
+    bool lockOpenBoundary = false;
 };
 
 /// Simplify \p mesh in place. Returns the number of collapses performed.

@@ -1,7 +1,7 @@
 #include "io/writers.h"
 
+#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -14,18 +14,43 @@ void writeObj(const std::string& path, const TriMesh& mesh) {
     std::ofstream out(path);
     TPF_ASSERT(out.good(), "cannot open OBJ file for writing");
     out << "# TernaryPF surface mesh\n";
-    // %.17g round-trips IEEE-754 doubles exactly: readObj() reconstructs the
-    // mesh bitwise, and two runs producing bitwise-identical meshes write
-    // byte-identical files (the mesh_rank_invariance contract compares the
-    // OBJ artifacts directly).
-    char line[128];
+    // Coordinates go out as printf %.17g, which round-trips IEEE-754 doubles
+    // exactly: readObj() reconstructs the mesh bitwise, and two runs
+    // producing bitwise-identical meshes write byte-identical files (the
+    // mesh_rank_invariance contract compares the OBJ artifacts directly).
+    // std::to_chars(general, 17) is defined as that printf conversion, minus
+    // the format parsing and locale lookup. Lines are staged in a fixed
+    // buffer and streamed out, so the file never exists whole in memory.
+    constexpr std::size_t kLineMax = 96; // "v " + 3 x (24 + 1) chars
+    char buf[1 << 16];
+    char* at = buf;
+    const auto flushIfFull = [&] {
+        if (static_cast<std::size_t>(buf + sizeof buf - at) >= kLineMax) return;
+        out.write(buf, at - buf);
+        at = buf;
+    };
+    const auto put = [&](char c) { *at++ = c; };
     for (const Vec3& v : mesh.vertices) {
-        std::snprintf(line, sizeof line, "v %.17g %.17g %.17g\n", v.x, v.y,
-                      v.z);
-        out << line;
+        flushIfFull();
+        put('v');
+        for (const double c : {v.x, v.y, v.z}) {
+            put(' ');
+            at = std::to_chars(at, buf + sizeof buf, c,
+                               std::chars_format::general, 17)
+                     .ptr;
+        }
+        put('\n');
     }
-    for (const auto& t : mesh.triangles)
-        out << "f " << t[0] + 1 << ' ' << t[1] + 1 << ' ' << t[2] + 1 << '\n';
+    for (const auto& t : mesh.triangles) {
+        flushIfFull();
+        put('f');
+        for (const int idx : t) {
+            put(' ');
+            at = std::to_chars(at, buf + sizeof buf, idx + 1).ptr;
+        }
+        put('\n');
+    }
+    out.write(buf, at - buf);
     TPF_ASSERT(out.good(), "OBJ write failed");
 }
 

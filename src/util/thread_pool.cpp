@@ -135,4 +135,11 @@ void ThreadPool::parallelForImpl(int n, const std::function<void(int)>& fn) {
     }
 }
 
+void parallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn) {
+    if (pool != nullptr)
+        pool->parallelFor(n, fn);
+    else
+        for (int i = 0; i < n; ++i) fn(i);
+}
+
 } // namespace tpf::util

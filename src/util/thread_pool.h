@@ -83,4 +83,8 @@ private:
     std::mutex callerM_; ///< serializes concurrent parallelFor callers
 };
 
+/// ThreadPool::parallelFor over \p pool, or a serial loop in index order when
+/// \p pool is null.
+void parallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn);
+
 } // namespace tpf::util

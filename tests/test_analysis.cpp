@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analysis/correlation.h"
 #include "analysis/fractions.h"
@@ -114,6 +115,55 @@ TEST(Correlation, PcaIsIsotropicForCheckerboardBlobs) {
     const auto map = correlationMap2D(phi, 0, 2, 8);
     const auto pca = correlationPca(map, 8);
     EXPECT_GT(pca.anisotropy(), 0.8) << "checkerboard is x/y symmetric";
+}
+
+TEST(Correlation, PlaneLagsMatchModuloReference) {
+    // The lag loops read a 2x2-tiled copy of the plane instead of wrapping
+    // every index with %; the integer hit counts must equal the plain
+    // modulo-wrapped sums exactly, also for lags beyond one period and on
+    // non-square planes.
+    const int nx = 12, ny = 7;
+    std::vector<unsigned char> ind(static_cast<std::size_t>(nx) * ny);
+    for (int y = 0; y < ny; ++y)
+        for (int x = 0; x < nx; ++x)
+            ind[static_cast<std::size_t>(y) * nx + x] =
+                static_cast<unsigned char>((x * 7 + y * 3 + x * y) % 5 < 2);
+    const auto at = [&](int x, int y) {
+        const int xs = ((x % nx) + nx) % nx, ys = ((y % ny) + ny) % ny;
+        return static_cast<long long>(
+            ind[static_cast<std::size_t>(ys) * nx + xs]);
+    };
+    const double cells = static_cast<double>(nx) * ny;
+
+    const int maxShift = 15; // > nx and > ny
+    const auto map = correlationMap2DPlane(ind.data(), nx, ny, maxShift);
+    const int side = 2 * maxShift + 1;
+    for (int dy = -maxShift; dy <= maxShift; ++dy) {
+        for (int dx = -maxShift; dx <= maxShift; ++dx) {
+            long long hits = 0;
+            for (int y = 0; y < ny; ++y)
+                for (int x = 0; x < nx; ++x)
+                    hits += at(x, y) & at(x + dx, y + dy);
+            EXPECT_EQ(map[static_cast<std::size_t>(dy + maxShift) * side +
+                          (dx + maxShift)],
+                      static_cast<double>(hits) / cells)
+                << "dx=" << dx << " dy=" << dy;
+        }
+    }
+    for (const int axis : {0, 1}) {
+        const auto s2 = twoPointCorrelationPlane(ind.data(), nx, ny, axis,
+                                                 maxShift);
+        for (int r = 0; r <= maxShift; ++r) {
+            long long hits = 0;
+            for (int y = 0; y < ny; ++y)
+                for (int x = 0; x < nx; ++x)
+                    hits += at(x, y) & at(axis == 0 ? x + r : x,
+                                          axis == 1 ? y + r : y);
+            EXPECT_EQ(s2[static_cast<std::size_t>(r)],
+                      static_cast<double>(hits) * (1.0 / cells))
+                << "axis=" << axis << " r=" << r;
+        }
+    }
 }
 
 TEST(Lamellae, CountsStripesPerSlice) {

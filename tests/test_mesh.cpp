@@ -6,19 +6,29 @@
 
 #include <unistd.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "comm/exchange.h"
+#include "core/slab_sweep.h"
+#include "core/solver.h"
 #include "io/marching_cubes.h"
 #include "io/mesh_pipeline.h"
 #include "io/reduction.h"
 #include "io/simplify.h"
 #include "io/writers.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 #include "vmpi/comm.h"
 
@@ -231,6 +241,250 @@ TEST(Mesh, ObjRoundTripIsBitwiseExact) {
     }
 }
 
+TEST(Mesh, ObjCoordinatesAreFormattedAsPrintf17g) {
+    // The OBJ writer formats through std::to_chars(general, 17); its bytes
+    // must stay those of printf("%.17g") — the format every committed or
+    // compared OBJ artifact was written with — on the values where the two
+    // could plausibly part: signed zeros, subnormals, extreme exponents,
+    // exact halves and integers around the fixed/scientific switch.
+    const double values[] = {0.0,
+                             -0.0,
+                             5e-324,
+                             -5e-324,
+                             2.2250738585072009e-308,
+                             DBL_MIN,
+                             1e-310,
+                             1e300,
+                             -1e300,
+                             1e-300,
+                             -1e-300,
+                             DBL_MAX,
+                             -DBL_MAX,
+                             0.5,
+                             -0.5,
+                             2.5,
+                             1234567.5,
+                             0.125,
+                             1.0 / 3.0,
+                             0.1,
+                             1.0,
+                             -1.0,
+                             42.0,
+                             9007199254740993.0,
+                             1e16,
+                             1e17,
+                             123456789012345678.0,
+                             99999999999999999.0,
+                             1e-5,
+                             0.0001,
+                             3.0};
+    TriMesh m;
+    constexpr std::size_t n = sizeof values / sizeof values[0];
+    for (std::size_t i = 0; i < n; ++i)
+        m.vertices.push_back({values[i], values[(i + 1) % n],
+                              values[(i + 2) % n]});
+    for (int i = 0; i + 2 < static_cast<int>(n); ++i)
+        m.triangles.push_back({i, i + 1, i + 2});
+
+    std::string expected = "# TernaryPF surface mesh\n";
+    char line[128];
+    for (const Vec3& v : m.vertices) {
+        std::snprintf(line, sizeof line, "v %.17g %.17g %.17g\n", v.x, v.y,
+                      v.z);
+        expected += line;
+    }
+    for (const auto& t : m.triangles) {
+        std::snprintf(line, sizeof line, "f %d %d %d\n", t[0] + 1, t[1] + 1,
+                      t[2] + 1);
+        expected += line;
+    }
+
+    namespace fs = std::filesystem;
+    const fs::path path = fs::temp_directory_path() /
+                          ("tpf_mesh_objfmt_" + std::to_string(::getpid()) +
+                           ".obj");
+    writeObj(path.string(), m);
+    std::ifstream in(path, std::ios::binary);
+    const std::string written((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    in.close();
+    fs::remove(path);
+    EXPECT_EQ(written, expected);
+}
+
+// --- weld equivalence ---
+
+namespace {
+
+/// The reference weld: a hash map of quantization bins probed over all 27
+/// neighbours of a vertex's bin, earliest kept candidate within tol (per
+/// axis) wins. TriMesh::weldVertices must produce exactly this remap and
+/// these triangles, whatever lookup structure it uses.
+std::vector<int> referenceWeld(TriMesh& m, double tol) {
+    struct Key {
+        std::int64_t x, y, z;
+        bool operator==(const Key&) const = default;
+    };
+    struct KeyHash {
+        std::size_t operator()(const Key& k) const {
+            std::uint64_t h = 1469598103934665603ULL;
+            for (std::int64_t v : {k.x, k.y, k.z}) {
+                h ^= static_cast<std::uint64_t>(v);
+                h *= 1099511628211ULL;
+            }
+            return static_cast<std::size_t>(h);
+        }
+    };
+    const double inv = 1.0 / tol;
+    std::unordered_map<Key, int, KeyHash> bins;
+    std::vector<int> remap(m.vertices.size());
+    std::vector<Vec3> kept;
+    std::vector<int> chainPrev;
+    for (std::size_t i = 0; i < m.vertices.size(); ++i) {
+        const Vec3& v = m.vertices[i];
+        const std::int64_t bx = std::llround(v.x * inv);
+        const std::int64_t by = std::llround(v.y * inv);
+        const std::int64_t bz = std::llround(v.z * inv);
+        int match = -1;
+        for (int dz = -1; dz <= 1; ++dz)
+            for (int dy = -1; dy <= 1; ++dy)
+                for (int dx = -1; dx <= 1; ++dx) {
+                    const auto it = bins.find(Key{bx + dx, by + dy, bz + dz});
+                    if (it == bins.end()) continue;
+                    for (int k = it->second; k >= 0;
+                         k = chainPrev[static_cast<std::size_t>(k)]) {
+                        const Vec3& u = kept[static_cast<std::size_t>(k)];
+                        if (std::abs(u.x - v.x) <= tol &&
+                            std::abs(u.y - v.y) <= tol &&
+                            std::abs(u.z - v.z) <= tol &&
+                            (match < 0 || k < match))
+                            match = k;
+                    }
+                }
+        if (match < 0) {
+            match = static_cast<int>(kept.size());
+            kept.push_back(v);
+            const auto ins = bins.emplace(Key{bx, by, bz}, match);
+            chainPrev.push_back(ins.second ? -1 : ins.first->second);
+            ins.first->second = match;
+        }
+        remap[i] = match;
+    }
+    std::vector<std::array<int, 3>> tris;
+    for (const auto& t : m.triangles) {
+        const std::array<int, 3> r{remap[static_cast<std::size_t>(t[0])],
+                                   remap[static_cast<std::size_t>(t[1])],
+                                   remap[static_cast<std::size_t>(t[2])]};
+        if (r[0] == r[1] || r[1] == r[2] || r[0] == r[2]) continue;
+        tris.push_back(r);
+    }
+    m.vertices = std::move(kept);
+    m.triangles = std::move(tris);
+    return remap;
+}
+
+/// Weld \p input with both welds at \p tol and compare remap, kept vertices
+/// (bitwise) and triangles.
+void expectWeldMatchesReference(const TriMesh& input, double tol) {
+    TriMesh ref = input;
+    const std::vector<int> refRemap = referenceWeld(ref, tol);
+    TriMesh got = input;
+    const std::vector<int> gotRemap = got.weldVertices(tol);
+    ASSERT_EQ(gotRemap, refRemap);
+    ASSERT_EQ(got.triangles, ref.triangles);
+    ASSERT_EQ(got.vertices.size(), ref.vertices.size());
+    for (std::size_t i = 0; i < ref.vertices.size(); ++i) {
+        ASSERT_EQ(std::memcmp(&got.vertices[i], &ref.vertices[i],
+                              sizeof(Vec3)),
+                  0)
+            << "kept vertex " << i;
+    }
+}
+
+} // namespace
+
+TEST(Mesh, WeldMatchesReferenceOnRawMarchingOutput) {
+    // Raw (unwelded) marching output of every phase and chunk of a
+    // developed solidification state, at the origin and shifted to
+    // negative coordinates, where the super-bin shift must floor.
+    core::SolverConfig cfg;
+    cfg.globalCells = {16, 16, 32};
+    cfg.model.temp.gradient = 0.5;
+    cfg.model.temp.velocity = 0.02;
+    cfg.model.temp.zEut0 = 12.0;
+    cfg.init.fillHeight = 10;
+    core::Solver solver(cfg, nullptr);
+    solver.initialize();
+    solver.run(20);
+    const Field<double>& phi = solver.localBlocks()[0]->phiSrc;
+    const CellInterval interior{0, 0, 0, phi.nx() - 1, phi.ny() - 1,
+                                phi.nz() - 1};
+
+    std::size_t checked = 0;
+    for (const Vec3 origin : {Vec3{0, 0, 0}, Vec3{-9.25, -17.0, -33.0}}) {
+        for (int phase = 0; phase < 3; ++phase) {
+            for (const CellInterval& c : core::slabPartition(interior)) {
+                const TriMesh raw = marchIsoSurfaceWrapXY(
+                    phi, phase, 0.5, origin, c.zMin, c.zMax + 1);
+                if (raw.empty()) continue;
+                checked += raw.numVertices();
+                for (const double tol : {1e-9, 1e-7, 1e-6}) {
+                    SCOPED_TRACE("phase=" + std::to_string(phase) + " z0=" +
+                                 std::to_string(c.zMin) +
+                                 " tol=" + std::to_string(tol) +
+                                 " origin.x=" + std::to_string(origin.x));
+                    expectWeldMatchesReference(raw, tol);
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 10000u);
+}
+
+TEST(Mesh, WeldMatchesReferenceAcrossBinAndSuperBinBoundaries) {
+    // Clusters of near-duplicate points straddling quantization-bin edges
+    // ((k + 1/2) * tol) and super-bin edges (bins 4m - 1 | 4m), on both
+    // sides of zero and on a large base, with copies offset by up to 2 tol
+    // so some pairs weld, some miss by a hair and some land two bins apart.
+    const double fracs[] = {0.0,        0.3,  0.4999999, 0.5,       0.5000001,
+                            0.7,        -0.3, -0.4999999, -0.5,     -0.5000001,
+                            -0.7,       0.25, 0.75};
+    const double offsets[] = {0.0, 0.3, -0.3, 0.6,  -0.6, 0.9999999, -0.9999999,
+                              1.0, -1.0, 1.0000001, -1.0000001, 1.4, -1.4, 2.0};
+    for (const double tol : {1e-9, 1e-7, 1e-6}) {
+        for (const double base : {0.0, -3.0, 17.0}) {
+            SCOPED_TRACE("tol=" + std::to_string(tol) +
+                         " base=" + std::to_string(base));
+            Random rng(0x5eed + static_cast<std::uint64_t>(base + 10.0));
+            const auto pick = [&](std::size_t n) {
+                return static_cast<std::size_t>(rng.nextU64() % n);
+            };
+            TriMesh m;
+            while (m.vertices.size() < 30000) {
+                Vec3 center;
+                for (double* c : {&center.x, &center.y, &center.z}) {
+                    const int k = static_cast<int>(pick(19)) - 9;
+                    *c = base + tol * (k + fracs[pick(std::size(fracs))]);
+                }
+                const std::size_t copies = 1 + pick(5);
+                for (std::size_t i = 0; i < copies; ++i) {
+                    Vec3 p = center;
+                    for (double* c : {&p.x, &p.y, &p.z})
+                        if (pick(2))
+                            *c += tol * offsets[pick(std::size(offsets))];
+                    m.vertices.push_back(p);
+                }
+            }
+            for (std::size_t i = 0; i + 2 < m.vertices.size(); i += 3) {
+                const int a = static_cast<int>(pick(m.vertices.size()));
+                const int b = static_cast<int>(pick(m.vertices.size()));
+                m.triangles.push_back({static_cast<int>(i), a, b});
+            }
+            expectWeldMatchesReference(m, tol);
+        }
+    }
+}
+
 // --- simplification ---
 
 TEST(Simplify, ReachesTargetTriangleCount) {
@@ -406,7 +660,8 @@ TriMesh stitchSphere(int ranks, int threads, double reduceTarget) {
         }
         const std::vector<MeshLocalSlab> slabs{
             MeshLocalSlab{&f, Int3{0, 0, zBase}}};
-        TriMesh stitched = stitchIsoSurface(slabs, 0, comm, opt);
+        TriMesh stitched =
+            std::move(stitchIsoSurfaces(slabs, {0}, comm, opt).front());
         if (comm == nullptr || comm->isRoot())
             result = std::move(stitched);
         else

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "core/solver.h"
 #include "io/checkpoint.h"
 #include "io/csv_writer.h"
+#include "util/crc32.h"
 
 namespace tpf {
 namespace {
@@ -233,6 +235,49 @@ TEST(MeshGolden, SolidifyIndexMatchesCommittedReference) {
         << "\n  If this change to the extraction is intentional, regenerate "
            "with TPF_REGEN_GOLDENS=1 ./tests/test_mesh_parallel and commit "
            "tests/golden/.";
+}
+
+/// Byte pin of one melt frame: the OBJ bytes of every phase of one
+/// single-rank, single-thread mesh sample on the melt problem of the
+/// end-to-end benchmark (32x32x128 solidify, 64 Voronoi grains, window on)
+/// after a fixed number of steps, as CRC-32 constants. It pins the weld,
+/// the boundary-locked simplification, the stitch and the OBJ writer
+/// together: any change to the collapse order, the weld remap or the number
+/// formatting moves a constant. Intentional output changes must update the
+/// constants in the same change.
+TEST(MeshGolden, MeltFrameObjBytesArePinned) {
+    core::SolverConfig cfg;
+    cfg.globalCells = {32, 32, 128};
+    cfg.model.temp.gradient = 0.5;
+    cfg.model.temp.velocity = 0.02;
+    cfg.model.temp.zEut0 = 0.375 * 128;
+    cfg.init.fillHeight = 3 * 128 / 16;
+    cfg.init.seed = 42;
+    cfg.init.seedsPerArea = 4;
+    cfg.window.enabled = true;
+    cfg.overlapMu = true;
+
+    TempDir dir("melt_pin");
+    core::Solver solver(cfg, nullptr);
+    solver.initialize();
+    solver.run(60);
+    analysis::MeshObserver mesh(meshOptions(dir.path.string(), 60));
+    mesh.create(true);
+    mesh.sample(solver, 60);
+
+    const char* const expected[] = {"355414a6", "9afba067", "91dfc7ee"};
+    for (int phase = 0; phase < 3; ++phase) {
+        const std::string bytes = readAll(
+            dir.path / analysis::MeshObserver::objName(phase, 60));
+        ASSERT_GT(bytes.size(), 1000u) << "phase " << phase;
+        char crc[16];
+        std::snprintf(crc, sizeof crc, "%08x",
+                      static_cast<unsigned>(
+                          util::crc32(bytes.data(), bytes.size())));
+        EXPECT_STREQ(crc, expected[phase])
+            << "phase " << phase << " OBJ bytes (" << bytes.size()
+            << " B) moved";
+    }
 }
 
 } // namespace
